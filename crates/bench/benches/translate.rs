@@ -383,7 +383,7 @@ fn bench_retrain_storm(_c: &mut Criterion) {
 
     let claims: Vec<usize> = (0..8).collect();
     let passes = if quick_mode() { 2 } else { 25 };
-    // warm the query cache so idle and storm runs see the same cache state
+    // warm-up pass so idle and storm runs start from the same state
     for &id in &claims {
         timed_suggest(&engine, id);
     }

@@ -55,9 +55,6 @@ pub use ordering::{
     select_batch, select_batch_detailed, BatchMethod, BatchSelection, OrderingStrategy,
 };
 pub use planner::ClaimPlan;
-pub use qgen::{
-    generate_queries, generate_queries_unprepared, generate_queries_with, padded_context,
-    AssignmentCache, NoCache, QueryCandidate,
-};
+pub use qgen::{generate_queries, generate_queries_unprepared, padded_context, QueryCandidate};
 pub use report::{ClaimOutcome, Verdict, VerificationReport};
 pub use verify::Verifier;

@@ -785,6 +785,8 @@ pub(crate) fn stats_json(snapshot: &StatsSnapshot) -> Json {
                 None => Json::Null,
             },
         ),
+        // deprecated, always 0 (there is no query-result cache); kept
+        // because v1 fields are append-only
         ("cache_hits", count(snapshot.cache_hits)),
         ("cache_misses", count(snapshot.cache_misses)),
         ("cache_hit_rate", Json::Num(snapshot.cache_hit_rate)),

@@ -8,11 +8,11 @@
 //! pipelined arbitrarily deep per connection (responses echo the request
 //! `id` and `trace`), different connections' requests execute
 //! concurrently on a worker pool, and all of them share one engine —
-//! sessions, models, cache and metrics are global.
+//! sessions, models and metrics are global.
 //!
 //! ```text
 //! scrutinizer-serve [ADDR] [--scale small|paper] [--seed N]
-//!                   [--threads N] [--cache-capacity N] [--no-pretrain]
+//!                   [--threads N] [--no-pretrain]
 //!                   [--max-conns N] [--workers N]
 //!                   [--retrain-interval N] [--data-dir DIR]
 //!                   [--port-file FILE]
@@ -75,7 +75,6 @@ struct Args {
     scale: &'static str,
     seed: u64,
     threads: Option<usize>,
-    cache_capacity: Option<usize>,
     pretrain: bool,
     max_connections: Option<usize>,
     workers: Option<usize>,
@@ -92,7 +91,6 @@ fn parse_args() -> Args {
         scale: "small",
         seed: 17,
         threads: None,
-        cache_capacity: None,
         pretrain: true,
         max_connections: None,
         workers: None,
@@ -137,10 +135,6 @@ fn parse_args() -> Args {
                 let value = value_of("--threads");
                 args.threads = Some(int_value("--threads", value));
             }
-            "--cache-capacity" => {
-                let value = value_of("--cache-capacity");
-                args.cache_capacity = Some(int_value("--cache-capacity", value));
-            }
             "--max-conns" => {
                 let value = value_of("--max-conns");
                 args.max_connections = Some(int_value("--max-conns", value));
@@ -166,7 +160,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "scrutinizer-serve [ADDR] [--scale small|paper] [--seed N] \
-                     [--threads N] [--cache-capacity N] [--no-pretrain] \
+                     [--threads N] [--no-pretrain] \
                      [--max-conns N] [--workers N] [--retrain-interval N] \
                      [--data-dir DIR] [--port-file FILE] \
                      [--log-level error|warn|info|debug] [--trace-log FILE]"
@@ -260,9 +254,6 @@ fn main() {
     let mut options = EngineOptions::default();
     if let Some(threads) = args.threads {
         options.threads = threads;
-    }
-    if let Some(capacity) = args.cache_capacity {
-        options.cache_capacity = capacity;
     }
     if let Some(interval) = args.retrain_interval {
         options.retrain_interval = (interval > 0).then_some(interval);

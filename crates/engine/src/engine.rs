@@ -10,22 +10,19 @@ use scrutinizer_core::qgen::QueryCandidate;
 use scrutinizer_core::report::{ClaimOutcome, Verdict};
 use scrutinizer_core::screens::FinalScreen;
 use scrutinizer_core::stats::mean;
-use scrutinizer_core::AssignmentCache;
 use scrutinizer_core::{
-    generate_queries_with, padded_context, FeatureStore, OrderingStrategy, PlannerCounters,
+    generate_queries, padded_context, FeatureStore, OrderingStrategy, PlannerCounters,
     PropertyKind, SystemConfig, SystemModels, Translation, Verifier,
 };
 use scrutinizer_corpus::{ClaimKind, ClaimRecord, Corpus};
 use scrutinizer_crowd::{Worker, WorkerConfig};
 use scrutinizer_data::hash::{FxHashMap, FxHashSet};
-use scrutinizer_data::CellRef;
 use scrutinizer_formula::{parse_formula, Formula};
 use scrutinizer_query::FunctionRegistry;
 
 use scrutinizer_sim::{SimEnv, Spawner};
 use scrutinizer_wal::{Wal, WalMetrics};
 
-use crate::cache::{normalize_sql, CachedResult, PlanKey, QueryCache};
 use crate::durability::{self, ClaimImage, SessionImage, StateImage, WalRecord};
 use crate::executor::ThreadPool;
 use crate::session::{ClaimPhase, ClaimQuestions, ClaimTask, SessionId, SessionState, Suggestion};
@@ -41,10 +38,6 @@ pub struct EngineOptions {
     /// Bounded executor queue length; submissions beyond it block
     /// (backpressure).
     pub queue_capacity: usize,
-    /// Query-result cache capacity, in entries.
-    pub cache_capacity: usize,
-    /// Cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Schedule a background incremental retrain once this many newly
     /// verified claims sit in the pending-examples log; `None` freezes the
     /// models (deterministic serving). Retraining happens off the read
@@ -62,8 +55,6 @@ impl Default for EngineOptions {
                 .map_or(2, |n| n.get())
                 .max(2),
             queue_capacity: 256,
-            cache_capacity: 1 << 16,
-            cache_shards: 16,
             retrain_interval: Some(50),
             ordering: OrderingStrategy::Ilp,
         }
@@ -145,43 +136,6 @@ fn wal_io<T>(result: std::io::Result<T>, context: &str) -> T {
     }
 }
 
-/// The engine's [`AssignmentCache`]: routes Algorithm 2's assignment
-/// evaluations through the sharded LRU, keyed by the prepared plan's
-/// structural fingerprint ([`PlanKey::Assignment`]).
-struct PlanCacheHook<'a> {
-    cache: &'a QueryCache<PlanKey>,
-    formula_ids: &'a Mutex<FxHashMap<Box<str>, u64>>,
-}
-
-impl AssignmentCache for PlanCacheHook<'_> {
-    fn formula_token(&mut self, formula_text: &str) -> u64 {
-        let mut ids = self.formula_ids.lock().expect("formula interner poisoned");
-        if let Some(&id) = ids.get(formula_text) {
-            return id;
-        }
-        // ids are dense and never reused; the formula pool is the learned
-        // formula library plus per-claim ground-truth texts, so the
-        // interner stays small relative to the result cache it feeds
-        let id = ids.len() as u64;
-        ids.insert(formula_text.into(), id);
-        id
-    }
-
-    fn get(&mut self, token: u64, cells: &[CellRef]) -> Option<Option<f64>> {
-        self.cache
-            .get(&PlanKey::assignment(token, cells))
-            .map(CachedResult::value)
-    }
-
-    fn put(&mut self, token: u64, cells: &[CellRef], value: Option<f64>) {
-        let result = match value {
-            Some(v) => CachedResult::Value(v),
-            None => CachedResult::Failed,
-        };
-        self.cache.insert(PlanKey::assignment(token, cells), result);
-    }
-}
-
 struct VerifiedSet {
     order: Vec<usize>,
     seen: FxHashSet<usize>,
@@ -190,7 +144,7 @@ struct VerifiedSet {
 /// The long-lived, concurrent verification engine.
 ///
 /// One engine owns the corpus (catalog + claims + document), the four
-/// property classifiers, the query-result cache and the executor; any
+/// property classifiers and the executor; any
 /// number of threads may drive sessions against it concurrently. See the
 /// [crate docs](crate) for the full tour.
 pub struct Engine {
@@ -205,10 +159,6 @@ pub struct Engine {
     /// Every claim featurized exactly once at construction; shared by
     /// translation, utility scoring and the background trainer.
     features: Arc<FeatureStore>,
-    cache: QueryCache<PlanKey>,
-    /// Formula text → stable interned id, the `formula` half of
-    /// [`PlanKey::Assignment`] fingerprints.
-    formula_ids: Mutex<FxHashMap<Box<str>, u64>>,
     pool: ThreadPool,
     /// Dedicated single-thread executor for background retraining, so
     /// learning can never compete with (or deadlock against) the serving
@@ -335,8 +285,6 @@ impl Engine {
             registry: FunctionRegistry::standard(),
             models: SnapshotCell::with_epoch(models, epoch),
             features,
-            cache: QueryCache::new(options.cache_capacity, options.cache_shards),
-            formula_ids: Mutex::new(FxHashMap::default()),
             pool: ThreadPool::new(options.threads, options.queue_capacity),
             trainer: ThreadPool::new(1, 2),
             stats: EngineStats::default(),
@@ -1008,8 +956,7 @@ impl Engine {
         }
         // re-plan claims whose screens have not started yet — but only when
         // the model epoch moved since their translation was computed; the
-        // epoch is the invalidation token, same discipline as the PlanKey
-        // fingerprints on the query cache
+        // epoch is the invalidation token
         for &claim_id in &open {
             let task = state
                 .tasks
@@ -1482,46 +1429,9 @@ impl Engine {
         }
     }
 
-    // ---- cache-assisted query generation ----------------------------------
-
-    /// Algorithm 2 with the query-result cache on the hot path: the same
-    /// enumeration, budgeting and ranking as
-    /// [`scrutinizer_core::generate_queries`] — it delegates to
-    /// [`generate_queries_with`] — but each assignment's evaluation goes
-    /// through the sharded LRU, keyed by the prepared plan's structural
-    /// fingerprint (interned formula id + resolved cell handles), so
-    /// near-duplicate instantiations across claims and sessions cost a
-    /// hash probe over a few plain words instead of an evaluation — and
-    /// never build a key string.
-    pub fn cached_generate(
-        &self,
-        relations: &[String],
-        keys: &[String],
-        attributes: &[String],
-        formulas: &[(String, Formula)],
-        parameter: Option<f64>,
-    ) -> Vec<QueryCandidate> {
-        let mut hook = PlanCacheHook {
-            cache: &self.cache,
-            formula_ids: &self.formula_ids,
-        };
-        let _span = obs::span!("execute");
-        generate_queries_with(
-            &self.corpus.catalog,
-            &self.registry,
-            relations,
-            keys,
-            attributes,
-            formulas,
-            parameter,
-            &self.config,
-            &mut hook,
-        )
-    }
-
     /// Builds the query-generation context exactly the way the one-shot
     /// verifier does — validated answers first, classifier candidates as
-    /// padding — and runs cache-assisted generation.
+    /// padding — and runs Algorithm 2 on it.
     fn generate_candidates(&self, claim: &ClaimRecord, task: &ClaimTask) -> Vec<QueryCandidate> {
         let context = |slot: usize, kind: PropertyKind, extra: usize| -> Vec<String> {
             padded_context(
@@ -1552,7 +1462,17 @@ impl Engine {
             ClaimKind::Explicit => Verifier::extract_parameter(&claim.claim_text),
             ClaimKind::General => None,
         };
-        self.cached_generate(&relations, &keys, &attributes, &formulas, parameter)
+        let _span = obs::span!("execute");
+        generate_queries(
+            &self.corpus.catalog,
+            &self.registry,
+            &relations,
+            &keys,
+            &attributes,
+            &formulas,
+            parameter,
+            &self.config,
+        )
     }
 
     // ---- simulated driving (batch mode, benches, tests) --------------------
@@ -1690,7 +1610,7 @@ impl Engine {
             })
             .collect();
         // per-claim worker seeds make results scheduling-independent, but
-        // side effects (session-id draws, cache fills, retrain timing) are
+        // side effects (session-id draws, retrain timing) are
         // not — under simulation the batch runs inline in input order so
         // the whole run stays bitwise deterministic
         if self.env.is_simulated() {
@@ -1701,31 +1621,19 @@ impl Engine {
 
     // ---- raw SQL ----------------------------------------------------------
 
-    /// Executes one SQL statement against the shared catalog through the
-    /// query-result cache. This is the one place [`normalize_sql`]
-    /// survives — the TCP endpoint boundary, where the input *is* text;
-    /// on a miss the statement is parsed and runs through the prepared
-    /// executor like every internal evaluation.
+    /// Executes one SQL statement against the shared catalog. A parse or
+    /// execution error, or a value that is not a finite number, is an
+    /// [`EngineError::Sql`].
     pub fn run_sql(&self, sql: &str) -> Result<f64, EngineError> {
         self.stats.bump(&self.stats.sql_executed);
         let _span = obs::span!("sql");
-        let normalized = normalize_sql(sql);
-        let key = PlanKey::sql(normalized.clone());
-        let result = self.cache.get_or_insert_with(&key, || {
-            // evaluate the *normalized* text so the cached outcome always
-            // agrees with the key (e.g. a trailing `;` is stripped by
-            // normalization and must not fail the parse)
-            match scrutinizer_query::run_sql(&self.corpus.catalog, &normalized) {
-                Ok(value) => match value.as_f64() {
-                    Some(v) if v.is_finite() => CachedResult::Value(v),
-                    _ => CachedResult::Failed,
-                },
-                Err(_) => CachedResult::Failed,
-            }
-        });
-        result
-            .value()
-            .ok_or_else(|| EngineError::Sql(format!("evaluation failed for `{normalized}`")))
+        // strip what the lexer rejects around a statement; it already
+        // folds keyword case and skips inner whitespace
+        let sql = sql.trim().trim_end_matches(';').trim_end();
+        match scrutinizer_query::run_sql(&self.corpus.catalog, sql).map(|value| value.as_f64()) {
+            Ok(Some(v)) if v.is_finite() => Ok(v),
+            _ => Err(EngineError::Sql(format!("evaluation failed for `{sql}`"))),
+        }
     }
 
     // ---- observability -----------------------------------------------------
@@ -1741,7 +1649,7 @@ impl Engine {
 
     /// Renders the unified metrics registry to Prometheus text exposition
     /// format, refreshing the mirrored gauges (live sessions, model epoch,
-    /// cache and pool levels) first so the output reports the same values
+    /// pool levels) first so the output reports the same values
     /// as [`stats`](Self::stats) for every shared series.
     pub fn render_metrics(&self) -> String {
         let stats = &self.stats;
@@ -1750,9 +1658,6 @@ impl Engine {
         stats
             .pending_examples
             .set(self.pending.lock().expect("pending log poisoned").len() as u64);
-        stats.cache_hits.store(self.cache.hits());
-        stats.cache_misses.store(self.cache.misses());
-        stats.cache_entries.set(self.cache.len() as u64);
         stats.queue_depth.set(self.pool.queue_depth() as u64);
         stats.jobs_in_flight.set(self.pool.in_flight() as u64);
         if let Some(wal) = self.wal_metrics() {
@@ -1813,10 +1718,10 @@ impl Engine {
             requests_by_codec: self.stats.requests_by_codec.each_ref().map(Counter::get),
             requests_ok_by_codec: self.stats.requests_ok_by_codec.each_ref().map(Counter::get),
             wire_errors_by_codec: self.stats.wire_errors_by_codec.each_ref().map(Counter::get),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_hit_rate: self.cache.hit_rate(),
-            cache_entries: self.cache.len(),
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_hit_rate: 0.0,
+            cache_entries: 0,
             queue_depth: self.pool.queue_depth(),
             in_flight: self.pool.in_flight(),
             plan_latency: self.stats.plan_latency.snapshot(),
@@ -1829,16 +1734,5 @@ impl Engine {
             wal_segments: wal.segments,
             wal_last_checkpoint_epoch: wal.last_checkpoint_epoch,
         }
-    }
-
-    /// Drops every cached query result (used by the benches to compare
-    /// cold and warm paths).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
-    /// The cache's lifetime hit rate.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
     }
 }

@@ -139,7 +139,7 @@ pub struct EngineStats {
     pub wire_errors_by_codec: [Counter; WireCodec::COUNT],
     /// Latency of claim planning (translation + screen selection).
     pub plan_latency: LatencyHistogram,
-    /// Latency of query generation (Algorithm 2, cache-assisted).
+    /// Latency of query generation (Algorithm 2).
     pub suggest_latency: LatencyHistogram,
     /// Latency of full single-claim verification drives.
     pub verify_latency: LatencyHistogram,
@@ -151,12 +151,6 @@ pub struct EngineStats {
     pub model_epoch: Gauge,
     /// Verified claims awaiting the next retrain (mirrored for exposition).
     pub pending_examples: Gauge,
-    /// Query-result cache hits (mirrored from the cache for exposition).
-    pub cache_hits: Counter,
-    /// Query-result cache misses (mirrored from the cache for exposition).
-    pub cache_misses: Counter,
-    /// Entries resident in the query-result cache (mirrored).
-    pub cache_entries: Gauge,
     /// Jobs waiting in the executor queue (mirrored).
     pub queue_depth: Gauge,
     /// Jobs currently executing on the pool (mirrored).
@@ -321,7 +315,7 @@ impl EngineStats {
             ),
             suggest_latency: r.histogram(
                 "scrutinizer_suggest_latency_seconds",
-                "Latency of query generation (Algorithm 2, cache-assisted).",
+                "Latency of query generation (Algorithm 2).",
             ),
             verify_latency: r.histogram(
                 "scrutinizer_verify_latency_seconds",
@@ -339,15 +333,6 @@ impl EngineStats {
             pending_examples: r.gauge(
                 "scrutinizer_pending_examples",
                 "Verified claims awaiting the next retrain.",
-            ),
-            cache_hits: r.counter("scrutinizer_cache_hits_total", "Query-result cache hits."),
-            cache_misses: r.counter(
-                "scrutinizer_cache_misses_total",
-                "Query-result cache misses.",
-            ),
-            cache_entries: r.gauge(
-                "scrutinizer_cache_entries",
-                "Entries resident in the query-result cache.",
             ),
             queue_depth: r.gauge(
                 "scrutinizer_queue_depth",
@@ -379,7 +364,7 @@ impl EngineStats {
     }
 
     /// The registry backing every series — render it for the `metrics`
-    /// endpoint. Mirrored gauges (`sessions_live`, cache and pool levels)
+    /// endpoint. Mirrored gauges (`sessions_live`, pool levels)
     /// are refreshed by [`Engine::render_metrics`](crate::Engine::render_metrics)
     /// just before rendering.
     pub fn registry(&self) -> &MetricsRegistry {
@@ -496,13 +481,14 @@ pub struct StatsSnapshot {
     pub requests_ok_by_codec: [u64; WireCodec::COUNT],
     /// Error responses per wire codec (aggregated across codes).
     pub wire_errors_by_codec: [u64; WireCodec::COUNT],
-    /// Query-result cache hits.
+    /// Deprecated, always 0: the engine has no query-result cache. Kept
+    /// because v1 `stats` fields are append-only.
     pub cache_hits: u64,
-    /// Query-result cache misses.
+    /// Deprecated, always 0 (see [`cache_hits`](Self::cache_hits)).
     pub cache_misses: u64,
-    /// Cache hit rate in `[0, 1]`.
+    /// Deprecated, always 0 (see [`cache_hits`](Self::cache_hits)).
     pub cache_hit_rate: f64,
-    /// Entries resident in the cache.
+    /// Deprecated, always 0 (see [`cache_hits`](Self::cache_hits)).
     pub cache_entries: usize,
     /// Jobs waiting in the executor queue.
     pub queue_depth: usize,

@@ -8,6 +8,8 @@
 //! * a full mixed-initiative session speaks binary end to end, and its
 //!   `suggest` payload is field-identical to the same session run over
 //!   the JSON codec on a second connection;
+//! * after suggest and sql traffic, the `stats` op on both codecs still
+//!   carries the four deprecated `cache_*` fields, all 0;
 //! * a truncated length prefix at EOF is answered with one framed
 //!   `parse_error`, not a hang or a panic;
 //! * a frame announcing more than the line limit is answered with a
@@ -63,6 +65,25 @@ fn connect_binary(addr: SocketAddr) -> TcpStream {
         .expect("read timeout");
     stream.write_all(&[BINARY_MAGIC]).expect("magic byte");
     stream
+}
+
+/// Connects a JSON-lines client: a writer and a line reader.
+fn connect_json(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect json");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// One JSON-lines round trip.
+fn json_roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
+    stream.write_all(line.as_bytes()).expect("write line");
+    stream.write_all(b"\n").expect("write newline");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read line");
+    Json::parse(response.trim_end()).expect("response parses")
 }
 
 fn send_request(stream: &mut TcpStream, request: &Request, id: u64) {
@@ -144,18 +165,8 @@ fn binary_session_end_to_end_matches_json_twin() {
     assert_ok(&close);
 
     // ---- the JSON twin: same claims, fresh session, same engine -------
-    let mut stream = TcpStream::connect(addr).expect("connect json");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(20)))
-        .expect("read timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut json_line = |line: String| -> Json {
-        stream.write_all(line.as_bytes()).expect("write line");
-        stream.write_all(b"\n").expect("write newline");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read line");
-        Json::parse(response.trim_end()).expect("response parses")
-    };
+    let (mut stream, mut reader) = connect_json(addr);
+    let mut json_line = |line: String| json_roundtrip(&mut stream, &mut reader, &line);
     let open = json_line(r#"{"op":"open","v":1}"#.to_string());
     assert_ok(&open);
     let json_session = field(&open, "session").as_usize().expect("session id");
@@ -174,6 +185,60 @@ fn binary_session_end_to_end_matches_json_twin() {
         field(&json_suggest, "suggestions").render(),
         "binary-decoded suggestions diverge from the JSON codec's"
     );
+
+    shutdown();
+}
+
+#[test]
+fn deprecated_cache_fields_read_zero_on_both_codecs() {
+    let (engine, addr, shutdown) = spawn_server();
+    let lookup = &engine.corpus().claims[0].lookups[0];
+    let sql = format!(
+        "SELECT a.{} FROM {} a WHERE a.Index = '{}'",
+        lookup.attribute, lookup.relation, lookup.key
+    );
+
+    // suggest and sql traffic on the binary codec, then its stats
+    let mut bin = connect_binary(addr);
+    let open = roundtrip(&mut bin, &Request::Open { checker: None }, 1);
+    let session = field(&open, "session").as_usize().expect("session id") as u64;
+    let submit = Request::Submit {
+        session,
+        claims: vec![0, 1],
+    };
+    assert_ok(&roundtrip(&mut bin, &submit, 2));
+    for id in 3..5 {
+        let suggest = Request::Suggest { session, claim: 0 };
+        assert_ok(&roundtrip(&mut bin, &suggest, id));
+        let query = Request::Sql { query: sql.clone() };
+        assert_ok(&roundtrip(&mut bin, &query, id + 10));
+    }
+    let binary_stats = roundtrip(&mut bin, &Request::Stats, 20);
+
+    // the same sql on the JSON codec, then its stats
+    let (mut stream, mut reader) = connect_json(addr);
+    let line = format!(r#"{{"op":"sql","v":1,"query":"{sql}"}}"#);
+    assert_ok(&json_roundtrip(&mut stream, &mut reader, &line));
+    let json_stats = json_roundtrip(&mut stream, &mut reader, r#"{"op":"stats","v":1}"#);
+
+    for (codec, response) in [("binary", &binary_stats), ("json", &json_stats)] {
+        assert_ok(response);
+        let stats = field(response, "stats");
+        for key in [
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "cache_entries",
+        ] {
+            assert_eq!(
+                field(stats, key).as_f64(),
+                Some(0.0),
+                "{codec} stats `{key}` must stay present and 0"
+            );
+        }
+        assert!(field(stats, "sql_executed").as_f64() >= Some(2.0));
+        assert!(field(stats, "suggestions_served").as_f64() >= Some(2.0));
+    }
 
     shutdown();
 }

@@ -56,7 +56,7 @@ fn worker(seed: u64) -> Worker {
 }
 
 /// The durable subset of the stats snapshot: everything recovery promises
-/// to restore exactly. (Suggestions, cache, and latency series are
+/// to restore exactly. (Suggestions and latency series are
 /// read-path observability and deliberately volatile.)
 fn durable_subset(engine: &Engine) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
     let s = engine.stats();

@@ -1,30 +1,29 @@
-//! The raw-SQL boundary: normalization is the cache key *and* the text
-//! that gets evaluated, so every spelling of one statement shares one
-//! entry and one outcome.
+//! The raw-SQL boundary: a statement is evaluated as sent, up to the
+//! surrounding whitespace and trailing `;` the lexer would reject, so
+//! every spelling of one statement yields one value, and a failing
+//! statement is reported without touching later ones.
 
 use scrutinizer_core::SystemConfig;
 use scrutinizer_corpus::{Corpus, CorpusConfig};
-use scrutinizer_engine::engine::{Engine, EngineOptions};
+use scrutinizer_engine::engine::{Engine, EngineError, EngineOptions};
+use std::sync::Arc;
 
-#[test]
-fn normalized_spellings_share_one_cache_entry() {
+/// An engine over the small corpus plus one valid statement reading a
+/// real cell (the first claim's first ground-truth lookup), written out
+/// in the canonical spelling and four others.
+fn engine_and_spellings() -> (Arc<Engine>, [String; 5]) {
     let corpus = Corpus::generate(CorpusConfig::small());
-    // grab a real cell so the query evaluates
-    let claim = &corpus.claims[0];
-    let lookup = &claim.lookups[0];
+    let lookup = &corpus.claims[0].lookups[0];
+    let (attribute, relation, key) = (&lookup.attribute, &lookup.relation, &lookup.key);
     let spellings = [
-        format!(
-            "SELECT a.{} FROM {} a WHERE a.Index = '{}'",
-            lookup.attribute, lookup.relation, lookup.key
-        ),
-        format!(
-            "select   a.{}  from {} a  where a.Index = '{}' ;",
-            lookup.attribute, lookup.relation, lookup.key
-        ),
-        format!(
-            "SELECT a.{} FROM {} a WHERE a.Index = '{}';",
-            lookup.attribute, lookup.relation, lookup.key
-        ),
+        format!("SELECT a.{attribute} FROM {relation} a WHERE a.Index = '{key}'"),
+        // lowercase keywords
+        format!("select a.{attribute} from {relation} a where a.Index = '{key}'"),
+        // extra whitespace, inside and around
+        format!("  \n SELECT   a.{attribute}\tFROM  {relation} a\n  WHERE a.Index  =  '{key}'  "),
+        // trailing `;`, with and without a space before it
+        format!("SELECT a.{attribute} FROM {relation} a WHERE a.Index = '{key}';"),
+        format!("select a.{attribute} FROM {relation} a where a.Index = '{key}' ;  "),
     ];
     let engine = Engine::with_options(
         corpus,
@@ -34,23 +33,34 @@ fn normalized_spellings_share_one_cache_entry() {
             ..EngineOptions::default()
         },
     );
-    let mut values = Vec::new();
-    for sql in &spellings {
-        values.push(engine.run_sql(sql).expect("valid statement evaluates"));
-    }
-    assert!(values.windows(2).all(|w| w[0] == w[1]));
-    let stats = engine.stats();
-    assert_eq!(
-        stats.cache_entries, 1,
-        "one normalized key for all spellings"
-    );
-    assert_eq!(stats.cache_misses, 1);
-    assert_eq!(stats.cache_hits, 2);
-    assert_eq!(stats.sql_executed, 3);
+    (engine, spellings)
+}
 
-    // failures are remembered under their own key and never poison others
-    assert!(engine.run_sql("SELECT nope").is_err());
-    assert!(engine.run_sql("SELECT nope ;").is_err());
-    assert_eq!(engine.stats().cache_entries, 2);
-    assert_eq!(engine.run_sql(&spellings[0]).unwrap(), values[0]);
+#[test]
+fn every_spelling_evaluates_to_the_same_value() {
+    let (engine, spellings) = engine_and_spellings();
+    let expected = engine
+        .run_sql(&spellings[0])
+        .expect("valid statement evaluates");
+    for spelling in &spellings[1..] {
+        assert_eq!(
+            engine.run_sql(spelling),
+            Ok(expected),
+            "spelling `{spelling}` evaluated differently"
+        );
+    }
+    assert_eq!(engine.stats().sql_executed, spellings.len() as u64);
+}
+
+#[test]
+fn failing_statement_is_a_sql_error_and_leaves_later_queries_alone() {
+    let (engine, [sql, ..]) = engine_and_spellings();
+    let value = engine.run_sql(&sql).expect("valid statement evaluates");
+    for bad in ["SELECT nope", "SELECT nope ;", "SELECT a.x FROM Missing a"] {
+        assert!(
+            matches!(engine.run_sql(bad), Err(EngineError::Sql(_))),
+            "`{bad}` must fail as a SQL error"
+        );
+        assert_eq!(engine.run_sql(&sql), Ok(value), "after `{bad}`");
+    }
 }

@@ -100,14 +100,34 @@ impl FsStorage {
     ) -> io::Result<T> {
         let mut handles = self.handles.lock().unwrap();
         if !handles.contains_key(path) {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?;
+            let mut open = std::fs::OpenOptions::new();
+            open.append(true);
+            let file = match open.open(path) {
+                Ok(file) => file,
+                Err(error) if error.kind() == io::ErrorKind::NotFound => {
+                    let file = open.create(true).open(path)?;
+                    // a new file (a fresh WAL segment) is durable only once
+                    // its directory entry is: without this fsync a crash can
+                    // drop the file and every record later synced into it
+                    sync_parent(path)?;
+                    file
+                }
+                Err(error) => return Err(error),
+            };
             handles.insert(path.to_string(), file);
         }
         f(handles.get_mut(path).expect("inserted above"))
     }
+}
+
+/// Fsyncs the directory holding `path`, making a create or rename of
+/// `path` durable.
+fn sync_parent(path: &str) -> io::Result<()> {
+    let parent = match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
 }
 
 impl Storage for FsStorage {
@@ -157,13 +177,8 @@ impl Storage for FsStorage {
         file.sync_data()?;
         drop(file);
         std::fs::rename(&tmp, path)?;
-        // fsync the parent directory so the rename itself is durable
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        // the rename is durable only once the parent directory is
+        sync_parent(path)
     }
 
     fn remove(&self, path: &str) -> io::Result<()> {

@@ -139,13 +139,6 @@ fn main() {
     );
     println!("  claims verified:        {}", stats.claims_verified);
     println!(
-        "  cache:                  {} hits / {} misses (hit rate {:.1}%), {} entries",
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_hit_rate * 100.0,
-        stats.cache_entries
-    );
-    println!(
         "  suggest latency:        mean {:.0}µs, p99 ≤ {}µs over {} runs",
         stats.suggest_latency.mean_micros(),
         stats.suggest_latency.quantile_micros(0.99),
